@@ -4,12 +4,15 @@ The paper's clients "are event-driven processes that keep many RPCs
 outstanding" (§5.1).  :class:`RpcClient` assigns each request an id,
 writes frames without waiting, and resolves per-request futures as
 responses arrive — so a single connection can have hundreds of
-operations in flight.  Requests use ids >= 0; frames with *negative*
-ids are server pushes carrying watch-subscription changes (§2.4) and
-are routed to per-subscription sinks, so one connection interleaves
-pipelined responses and pushed updates.  :class:`SyncRpcClient` wraps
-it all in a private event loop for synchronous callers (examples,
-tests).
+operations in flight.  The connection is an :class:`asyncio.Protocol`:
+responses are decoded and their futures resolved inside the
+transport's ``data_received`` callback, with no reader task between
+the socket and the caller.  Requests use ids >= 0; frames with
+*negative* ids are server pushes carrying watch-subscription changes
+(§2.4) and are routed to per-subscription sinks, so one connection
+interleaves pipelined responses and pushed updates.
+:class:`SyncRpcClient` wraps it all in a private event loop for
+synchronous callers (examples, tests).
 """
 
 from __future__ import annotations
@@ -50,21 +53,49 @@ class RpcError(RuntimeError):
         self.code = code
 
 
+class _ClientProtocol(asyncio.Protocol):
+    """Transport callbacks of one :class:`RpcClient` connection."""
+
+    def __init__(self, client: "RpcClient") -> None:
+        self.client = client
+
+    def data_received(self, data: bytes) -> None:
+        self.client._on_data(data)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.client._on_lost(exc)
+
+    def pause_writing(self) -> None:
+        self.client._write_paused = True
+
+    def resume_writing(self) -> None:
+        self.client._resume_writing()
+
+
 class RpcClient:
-    """Pipelined asyncio client for a Pequod RPC server."""
+    """Pipelined asyncio client for a Pequod RPC server.
+
+    Responses are handled in the transport's ``data_received``
+    callback: each frame is decoded and its request's future resolved
+    right there, so the awaiting caller is the next thing the event
+    loop runs.  Callers wait for the write buffer to drain only while
+    the transport reports it over its high-water mark.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
         self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._transport: Optional[asyncio.Transport] = None
         self._buffer = protocol.FrameBuffer()
         self._pending: Dict[int, asyncio.Future] = {}
         self._push_sinks: Dict[int, PushSink] = {}
         self._next_id = 0
-        self._reader_task: Optional[asyncio.Task] = None
+        self._lost = False
+        self._closed: Optional[asyncio.Future] = None
+        self._write_paused = False
+        self._drain_waiters: List[asyncio.Future] = []
         #: Encoded frames awaiting one coalesced transport write.
-        #: Started calls buffer here and a flush runs at the end of
+        #: Windowed calls buffer here and a flush runs at the end of
         #: the current loop tick, so a burst of requests (a pipeline
         #: window refilling as responses arrive) costs ONE send
         #: syscall instead of one per request.
@@ -74,70 +105,78 @@ class RpcClient:
         self.pushes_received = 0
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._closed = loop.create_future()
+        self._transport, _ = await loop.create_connection(
+            lambda: _ClientProtocol(self), self.host, self.port
         )
-        self._reader_task = asyncio.create_task(self._read_loop())
 
     async def close(self) -> None:
         self._fail_push_sinks()
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-            self._writer = None
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+            assert self._closed is not None
+            await self._closed
 
     # ------------------------------------------------------------------
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
+    def _on_data(self, data: bytes) -> None:
         try:
-            while True:
-                data = await self._reader.read(65536)
-                if not data:
-                    # Clean EOF is still a dead connection: every
-                    # outstanding request must fail, not hang, and
-                    # later calls must refuse to start (the peer may
-                    # have been killed — cluster clients retry through
-                    # a refreshed partition map on this error).
-                    self._fail_pending(
-                        ConnectionResetError("connection closed by server")
-                    )
-                    self._fail_push_sinks()
-                    break
-                for payload in self._buffer.feed(data):
-                    message = protocol.decode_message(payload)
-                    request_id, status, body = protocol.parse_response(message)
-                    if request_id < 0:
-                        # Reserved negative id: a server push for one
-                        # of our watch subscriptions.
-                        sub_id, events = protocol.parse_push(message)
-                        self.pushes_received += len(events)
-                        sink = self._push_sinks.get(sub_id)
-                        if sink is not None:
-                            sink(events)
-                        continue
-                    future = self._pending.pop(request_id, None)
-                    if future is None or future.done():
-                        continue
-                    if status == protocol.OK:
-                        future.set_result(body)
-                    else:
-                        code, detail = protocol.parse_error(body)
-                        future.set_exception(RpcError(detail, code))
-        except asyncio.CancelledError:
-            raise
+            for payload in self._buffer.feed(data):
+                message = protocol.decode_message(payload)
+                request_id, status, body = protocol.parse_response(message)
+                if request_id < 0:
+                    # Reserved negative id: a server push for one of
+                    # our watch subscriptions.
+                    sub_id, events = protocol.parse_push(message)
+                    self.pushes_received += len(events)
+                    sink = self._push_sinks.get(sub_id)
+                    if sink is not None:
+                        sink(events)
+                    continue
+                future = self._pending.pop(request_id, None)
+                if future is None or future.done():
+                    continue
+                if status == protocol.OK:
+                    future.set_result(body)
+                else:
+                    code, detail = protocol.parse_error(body)
+                    future.set_exception(RpcError(detail, code))
         except Exception as exc:  # noqa: BLE001 - fail all outstanding
+            # A frame we cannot read ends this connection; every
+            # outstanding request fails with the reason.
+            self._lost = True
             self._fail_pending(exc)
             self._fail_push_sinks()
+            if self._transport is not None:
+                self._transport.abort()
+
+    def _on_lost(self, exc: Optional[Exception]) -> None:
+        # Clean EOF is still a dead connection: every outstanding
+        # request must fail, not hang, and later calls must refuse to
+        # start (the peer may have been killed — cluster clients retry
+        # through a refreshed partition map on this error).
+        self._lost = True
+        self._fail_pending(ConnectionResetError("connection closed by server"))
+        self._fail_push_sinks()
+        self._resume_writing()
+        if self._closed is not None and not self._closed.done():
+            self._closed.set_result(None)
+
+    def _resume_writing(self) -> None:
+        self._write_paused = False
+        waiters, self._drain_waiters = self._drain_waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    async def _drain(self) -> None:
+        """Wait while the transport's write buffer is over its
+        high-water mark."""
+        while self._write_paused and not self._lost:
+            waiter = asyncio.get_running_loop().create_future()
+            self._drain_waiters.append(waiter)
+            await waiter
 
     def _fail_pending(self, exc: Exception) -> None:
         for future in self._pending.values():
@@ -169,45 +208,42 @@ class RpcClient:
         return await self.call("unsubscribe", sub_id)
 
     def _start_call(self, method: str, args: List[Any]) -> asyncio.Future:
-        assert self._writer is not None, "client is not connected"
-        if self._reader_task is not None and self._reader_task.done():
+        """Register a request and buffer its frame; the caller flushes."""
+        assert self._transport is not None, "client is not connected"
+        if self._lost:
             raise ConnectionResetError("connection lost")
         request_id = self._next_id
         self._next_id += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         self._out_frames.append(protocol.encode_request(request_id, method, args))
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            asyncio.get_running_loop().call_soon(self._flush)
         self.requests_sent += 1
         return future
 
     def _flush(self) -> None:
         """Hand buffered frames to the transport in one write."""
         self._flush_scheduled = False
-        if self._out_frames and self._writer is not None:
+        if self._out_frames and self._transport is not None:
             if len(self._out_frames) == 1:
                 data = self._out_frames[0]
             else:
                 data = b"".join(self._out_frames)
             self._out_frames.clear()
-            self._writer.write(data)
+            self._transport.write(data)
 
     async def call(self, method: str, *args: Any) -> Any:
         """One RPC; awaits the response."""
         future = self._start_call(method, list(args))
-        self._flush()  # single call: write now, skip the loop hop
-        assert self._writer is not None
-        await self._writer.drain()
+        self._flush()
+        if self._write_paused:
+            await self._drain()
         return await future
 
     async def call_many(self, calls: List[Tuple[str, List[Any]]]) -> List[Any]:
         """Pipeline a batch of RPCs; results come back in call order."""
         futures = [self._start_call(method, args) for method, args in calls]
         self._flush()
-        assert self._writer is not None
-        await self._writer.drain()
+        await self._drain()
         return list(await asyncio.gather(*futures))
 
     async def call_windowed(
@@ -241,6 +277,9 @@ class RpcClient:
             future.add_done_callback(
                 lambda fut, index=index: on_done(index, fut)
             )
+            if not self._flush_scheduled:
+                self._flush_scheduled = True
+                loop.call_soon(self._flush)
 
         def on_done(index: int, future: asyncio.Future) -> None:
             state["completed"] += 1
@@ -265,8 +304,7 @@ class RpcClient:
         for _ in range(min(depth, total)):
             launch()
         self._flush()
-        assert self._writer is not None
-        await self._writer.drain()
+        await self._drain()
         await done
         return results
 

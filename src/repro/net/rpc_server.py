@@ -1,10 +1,19 @@
 """Asyncio RPC server exposing a PequodServer over TCP.
 
 Pequod is "a single-threaded, event-driven C++ program" (§4); this is
-the Python analogue: one event loop, per-connection frame reassembly,
-and request dispatch into the (non-async) cache engine.  Clients
-pipeline requests; responses go back in completion order carrying the
-request id.
+the Python analogue: one event loop and request dispatch into the
+(non-async) cache engine.  Each connection is an
+:class:`asyncio.Protocol` whose ``data_received`` callback reassembles
+frames, dispatches every request of the read chunk and writes all of
+their responses in one transport write, without a per-connection task.
+Clients pipeline requests; responses carry the request id.
+
+Backpressure is flow control on the transport: when a client stops
+reading and the connection's write buffer passes its high-water mark,
+the server stops reading that connection until the buffer drains.  A
+handler may return an awaitable (a cluster node's migration driver, a
+hand-off to its main thread); reading then pauses while a task
+finishes the chunk, so responses still leave in request order.
 
 Beyond request/response, connections carry *watch subscriptions*
 (§2.4's push model): ``subscribe lo hi`` registers a range on the
@@ -23,7 +32,7 @@ import logging
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Awaitable, Dict, List, Optional
 
 from ..core.hub import WatchHandle
 from ..core.joins import JoinError
@@ -62,16 +71,79 @@ def classify_error(exc: BaseException) -> str:
     return protocol.ERR_CODE_SERVER
 
 
-class _Connection:
-    """Per-connection state: the writer, frame reassembly, and watches."""
+class _Connection(asyncio.Protocol):
+    """One client connection: frame reassembly, request service, and
+    the connection's watch subscriptions.
 
-    __slots__ = ("writer", "buffer", "subscriptions", "next_sub_id")
+    Requests are served inside :meth:`data_received`: each read chunk
+    is reassembled into frames, dispatched, and answered with one
+    transport write before the callback returns, so a request costs no
+    event-loop task switch on the server.  Reading pauses while the
+    transport's write buffer is over its high-water mark
+    (:meth:`pause_writing`) and while a chunk with an awaitable handler
+    result finishes in a task (see :meth:`RpcServer._serve_chunk`).
+    """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    def __init__(self, rpc: "RpcServer") -> None:
+        self.rpc = rpc
+        self.transport: Optional[asyncio.Transport] = None
         self.buffer = protocol.FrameBuffer()
         self.subscriptions: Dict[int, WatchHandle] = {}
         self.next_sub_id = 0
+        self.finishing = False
+        self._write_paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.rpc.connections += 1
+        self.rpc._live_connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            payloads = self.buffer.feed(data)
+        except protocol.ProtocolError:
+            # Unframeable garbage: drop this connection, keep serving
+            # the rest.
+            self.transport.close()
+            return
+        if payloads:
+            self.rpc._serve_chunk(self, payloads)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # Runs on EVERY way a connection ends (EOF, reset, garbage,
+        # server stop): subscriptions must not keep pushing into a
+        # dead transport.
+        self.teardown()
+        self.rpc._live_connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._update_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._update_reading()
+
+    def set_finishing(self, finishing: bool) -> None:
+        self.finishing = finishing
+        self._update_reading()
+
+    def _update_reading(self) -> None:
+        transport = self.transport
+        if transport.is_closing():
+            return
+        if self.finishing or self._write_paused:
+            transport.pause_reading()
+        else:
+            transport.resume_reading()
+
+    def write(self, responses: List[bytes]) -> None:
+        """Send a chunk's responses in ONE transport write: a pipelined
+        window of N requests costs one send syscall, not N."""
+        transport = self.transport
+        if not responses or transport.is_closing():
+            return
+        transport.write(responses[0] if len(responses) == 1 else b"".join(responses))
 
     def teardown(self) -> None:
         """Drop everything this connection holds on the server:
@@ -80,7 +152,7 @@ class _Connection:
         A handle whose ``close()`` faults must not abort the loop —
         the remaining subscriptions still have to be dropped — but the
         fault is *logged*, never swallowed: silent teardown failures
-        leave ghost watchers pushing into dead writers.
+        leave ghost watchers pushing into dead transports.
         """
         for sub_id, handle in self.subscriptions.items():
             try:
@@ -109,6 +181,7 @@ class RpcServer:
         self.host = host
         self.port = port
         self._asyncio_server: Optional[asyncio.AbstractServer] = None
+        #: Tasks finishing chunks whose handlers went async.
         self._connection_tasks: set = set()
         self._live_connections: set = set()
         self.requests_served = 0
@@ -137,9 +210,8 @@ class RpcServer:
         yield "rpc_slow_watchers_dropped_total", float(self.slow_watchers_dropped)
         backlog = 0
         for conn in self._live_connections:
-            transport = conn.writer.transport
-            if transport is not None and not transport.is_closing():
-                backlog += transport.get_write_buffer_size()
+            if not conn.transport.is_closing():
+                backlog += conn.transport.get_write_buffer_size()
         yield "rpc_push_backlog_bytes", float(backlog)
         yield from self.frame_latency.samples("rpc_frame_latency_seconds")
         yield from self.window_occupancy.samples("rpc_window_occupancy")
@@ -150,8 +222,9 @@ class RpcServer:
             )
 
     async def start(self) -> None:
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._asyncio_server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockets = self._asyncio_server.sockets or []
         if sockets:
@@ -160,14 +233,20 @@ class RpcServer:
     async def stop(self) -> None:
         if self._asyncio_server is not None:
             self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
-            self._asyncio_server = None
-        # Reap per-connection tasks so event-loop teardown is clean.
+        # Close every connection (its teardown runs now, not a tick
+        # later) and reap chunk tasks so event-loop teardown is clean.
+        for conn in list(self._live_connections):
+            conn.transport.close()
+            conn.teardown()
+            self._live_connections.discard(conn)
         for task in list(self._connection_tasks):
             task.cancel()
         if self._connection_tasks:
             await asyncio.gather(*self._connection_tasks, return_exceptions=True)
         self._connection_tasks.clear()
+        if self._asyncio_server is not None:
+            await self._asyncio_server.wait_closed()
+            self._asyncio_server = None
 
     async def serve_forever(self) -> None:
         if self._asyncio_server is None:
@@ -181,73 +260,66 @@ class RpcServer:
         return self.server.hub.watcher_count()
 
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        self.connections += 1
-        conn = _Connection(writer)
-        self._live_connections.add(conn)
+    def _serve_chunk(self, conn: _Connection, payloads: List[bytes]) -> None:
+        """Answer one read chunk's requests, in request order."""
+        self.window_occupancy.observe(len(payloads))
         load = self.server.load
+        if load is not None:
+            # The pipelined chunk depth is the admission controller's
+            # queue signal: a client windowing hundreds of requests per
+            # read is the unbounded-queueing shape overload policies
+            # exist for.
+            load.report_queue_depth(len(payloads))
+        responses: List[bytes] = []
+        pending: Optional[Awaitable[bytes]] = None
+        rest: List[bytes] = []
+        for index, payload in enumerate(payloads):
+            response = self._dispatch(conn, payload)
+            if type(response) is not bytes:
+                # A subclass handler went async (cluster migration
+                # drivers, main-thread hand-offs).
+                pending, rest = response, payloads[index + 1 :]
+                break
+            responses.append(response)
+        else:
+            if self.chaos is None:
+                conn.write(responses)
+                return
+        # Finish the chunk in a task with the connection's reading
+        # paused, so its responses — and every later request's — still
+        # go out in request order.
+        conn.set_finishing(True)
+        task = asyncio.get_running_loop().create_task(
+            self._finish_chunk(conn, pending, rest, responses)
+        )
+        self._connection_tasks.add(task)
+        task.add_done_callback(self._connection_tasks.discard)
+
+    async def _finish_chunk(
+        self,
+        conn: _Connection,
+        pending: Optional[Awaitable[bytes]],
+        rest: List[bytes],
+        responses: List[bytes],
+    ) -> None:
+        """Await the chunk's pending result, answer its remaining
+        requests, and write all of its responses in request order."""
         try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                payloads = conn.buffer.feed(data)
-                if payloads:
-                    self.window_occupancy.observe(len(payloads))
-                    if load is not None:
-                        # The pipelined chunk depth is the admission
-                        # controller's queue signal: a client windowing
-                        # hundreds of requests per read is the
-                        # unbounded-queueing shape overload policies
-                        # exist for.
-                        load.report_queue_depth(len(payloads))
-                # Dispatch the whole chunk, then write every response
-                # in ONE transport write: a pipelined window of N
-                # requests costs one send syscall, not N.
-                responses = []
-                for payload in payloads:
-                    response = self._dispatch(conn, payload)
-                    if not isinstance(response, bytes):
-                        # A subclass handler went async (cluster
-                        # migration drivers); await it in request
-                        # order so responses stay a flat byte list.
-                        response = await response
-                    responses.append(response)
-                if self.chaos is not None:
-                    responses = await self.chaos.apply(responses)
-                if len(responses) == 1:
-                    writer.write(responses[0])
-                elif responses:
-                    writer.write(b"".join(responses))
-                await writer.drain()
-        except protocol.ProtocolError:
-            # Unframeable garbage: drop this connection, keep serving
-            # the rest.
-            pass
-        except (OSError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels connection handlers; exiting
-            # normally keeps asyncio's stream callbacks quiet.
-            pass
+            if pending is not None:
+                responses.append(await pending)
+            for payload in rest:
+                response = self._dispatch(conn, payload)
+                if type(response) is not bytes:
+                    response = await response
+                responses.append(response)
+            if self.chaos is not None:
+                responses = await self.chaos.apply(responses)
+            conn.write(responses)
+        except Exception:  # noqa: BLE001 - one connection, not the server
+            log.exception("error finishing a request chunk; dropping connection")
+            conn.transport.close()
         finally:
-            # Teardown must run on EVERY exit path — a fault mid-frame
-            # must not leave subscriptions pushing into a dead writer
-            # or partial state behind the reader task.
-            conn.teardown()
-            self._live_connections.discard(conn)
-            if task is not None:
-                self._connection_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass
+            conn.set_finishing(False)
 
     def _dispatch(self, conn: _Connection, payload: bytes):
         request_id = -1
@@ -299,17 +371,16 @@ class RpcServer:
             raise ValueError(f"bad watch range [{lo!r}, {hi!r})")
         sub_id = conn.next_sub_id
         conn.next_sub_id += 1
-        writer = conn.writer
+        transport = conn.transport
 
         def sink(event) -> None:
             # Synchronous with the commit: the frame enters the
-            # writer's buffer before the originating request's
-            # response, so a subscriber never sees an ack ahead of the
-            # changes it implies.  StreamWriter flushes asynchronously.
-            transport = writer.transport
+            # transport before the originating request's response, so
+            # a subscriber never sees an ack ahead of the changes it
+            # implies.  The transport sends what the socket takes at
+            # once and buffers the rest.
             if (
-                transport is None
-                or transport.is_closing()
+                transport.is_closing()
                 or transport.get_write_buffer_size() > self.MAX_PUSH_BACKLOG
             ):
                 # Slow-consumer policy: a watcher that stopped reading
@@ -320,7 +391,7 @@ class RpcServer:
                 conn.subscriptions.clear()
                 self.slow_watchers_dropped += 1
                 return
-            writer.write(protocol.encode_push(sub_id, [event]))
+            transport.write(protocol.encode_push(sub_id, [event]))
             self.pushes_sent += 1
 
         conn.subscriptions[sub_id] = self.server.watch(lo, hi, sink)
